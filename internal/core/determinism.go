@@ -218,20 +218,7 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		unchanged = delta.UnchangedSet()
 	}
 
-	// Working copies: analyses must not mutate the System.
-	wg := graph.New[*workNode]()
-	remap := make(map[graph.Node]graph.Node)
-	for _, n := range s.g.Nodes() {
-		l := s.g.Label(n)
-		name := l.res.String()
-		remap[n] = wg.Add(&workNode{name: name, expr: l.expr, orig: l.orig, sum: l.sum, unchanged: unchanged[name]})
-	}
-	for _, n := range s.g.Nodes() {
-		for _, v := range s.g.Succs(n) {
-			_ = wg.AddEdge(remap[n], remap[v])
-		}
-	}
-
+	wg := s.workGraph(unchanged)
 	cc := newCommuteChecker(opts)
 	cc.diffAware = delta != nil
 	defer cc.cancel() // release the derived context on every exit path
@@ -274,13 +261,20 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 		applyHitsBase = cc.pool.applyHits()
 	}
 
+	// Elimination and pruning look up interacting resources in one
+	// footprint index over the unpruned summaries.
+	var fp *commute.Index
+	if opts.Elimination || opts.Pruning {
+		fp = footprintIndex(wg)
+	}
+
 	// Step 1 (section 4.4): eliminate resources that commute with every
 	// resource that may run after them. Removal order matters for replay:
 	// the first-removed resource commutes with everything else and can be
 	// placed last in any linearization.
 	var eliminated []*workNode
 	if opts.Elimination {
-		eliminated = eliminate(wg, cc)
+		eliminated = eliminate(wg, cc, fp)
 		stats.Eliminated = len(eliminated)
 		if err := cc.err(); err != nil {
 			return nil, err
@@ -290,7 +284,7 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 	// Step 2 (section 4.4): prune definitive writes to paths that only a
 	// single resource touches.
 	if opts.Pruning {
-		pruned, reinternHits := pruneGraph(wg, !opts.DisableInterning)
+		pruned, reinternHits := pruneGraph(wg, fp, !opts.DisableInterning)
 		stats.PrunedPaths = pruned
 		stats.InternHits += reinternHits
 	}
@@ -425,11 +419,32 @@ func (s *System) checkDeterminism(opts Options, delta *diff.Delta) (*Determinism
 			return nil, err
 		}
 		res.Stats.TotalPaths = stats.TotalPaths
+		// The reported cost covers both passes, not just the exact one.
+		res.Stats.Duration = time.Since(start)
 		return res, nil
 	}
 	// POR and the base encoding are exact; an unreplayable model here is a
 	// bug in the encoder.
 	panic("core: determinism model failed to replay under the exact configuration")
+}
+
+// workGraph returns a working copy of the resource graph for one check
+// (analyses must not mutate the System), marking the resources named in
+// unchanged.
+func (s *System) workGraph(unchanged map[string]bool) *graph.Graph[*workNode] {
+	wg := graph.New[*workNode]()
+	remap := make(map[graph.Node]graph.Node)
+	for _, n := range s.g.Nodes() {
+		l := s.g.Label(n)
+		name := l.res.String()
+		remap[n] = wg.Add(&workNode{name: name, expr: l.expr, orig: l.orig, sum: l.sum, unchanged: unchanged[name]})
+	}
+	for _, n := range s.g.Nodes() {
+		for _, v := range s.g.Succs(n) {
+			_ = wg.AddEdge(remap[n], remap[v])
+		}
+	}
+	return wg
 }
 
 // replay applies the two orders (plus eliminated resources, in reverse
@@ -498,36 +513,61 @@ func minimizeInput(e1, e2 fs.Expr, in fs.State, keepWellFormed bool) fs.State {
 	return min
 }
 
+// footprintIndex indexes the commute summaries of wg's nodes by node id.
+func footprintIndex(wg *graph.Graph[*workNode]) *commute.Index {
+	fp := commute.NewIndex()
+	for _, n := range wg.Nodes() {
+		fp.Add(int(n), wg.Label(n).sum)
+	}
+	return fp
+}
+
 // eliminate repeatedly removes fringe resources (no dependents) that
 // commute with every incomparable resource, returning them in removal
-// order. Each round first batches the candidate pairs it is about to ask
+// order. fp indexes every node's summary; only the live incomparable
+// nodes it reports as syntactic conflicts are asked, in ascending node
+// order, since cc.commutes answers true without any work for every other
+// pair. Each round first batches the candidate pairs it is about to ask
 // and fans the semantic-commutativity queries across the worker pool;
 // the removal pass itself stays sequential and identical to the
 // single-threaded analysis, so the removal order — which replay depends
 // on — is the same at any parallelism.
-func eliminate(wg *graph.Graph[*workNode], cc *commuteChecker) []*workNode {
+func eliminate(wg *graph.Graph[*workNode], cc *commuteChecker, fp *commute.Index) []*workNode {
+	// candidates returns v's live, incomparable syntactic conflicts in
+	// ascending node order. Descendants need no filter: v is on the
+	// fringe.
+	candidates := func(v graph.Node) []graph.Node {
+		var out []graph.Node
+		var anc map[graph.Node]struct{}
+		for _, id := range fp.Conflicts(wg.Label(v).sum) {
+			u := graph.Node(id)
+			if u == v || !wg.Has(u) {
+				continue
+			}
+			if anc == nil {
+				anc = wg.Ancestors(v)
+			}
+			if _, isAnc := anc[u]; !isAnc {
+				out = append(out, u)
+			}
+		}
+		return out
+	}
 	var removed []*workNode
 	for {
 		// Batch this round's candidate queries: every fringe node against
-		// every incomparable node, as of the round-start graph. The
-		// sequential pass below may skip some (early break on the first
-		// conflict) or add some (nodes that become fringe mid-round);
-		// prefetching a near-exact superset is only a cache warm-up and
-		// cannot change any verdict.
+		// its candidates, as of the round-start graph. The sequential pass
+		// below may skip some (early break on the first conflict) or add
+		// some (nodes that become fringe mid-round); prefetching a
+		// near-exact superset is only a cache warm-up and cannot change
+		// any verdict.
 		if cc.semantic && cc.workers > 1 {
 			var pairs []pair
 			for _, v := range wg.Nodes() {
 				if wg.OutDegree(v) != 0 {
 					continue
 				}
-				anc := wg.Ancestors(v)
-				for _, u := range wg.Nodes() {
-					if u == v {
-						continue
-					}
-					if _, isAnc := anc[u]; isAnc {
-						continue
-					}
+				for _, u := range candidates(v) {
 					pairs = append(pairs, pair{wg.Label(v), wg.Label(u)})
 				}
 			}
@@ -539,15 +579,8 @@ func eliminate(wg *graph.Graph[*workNode], cc *commuteChecker) []*workNode {
 			if wg.OutDegree(v) != 0 {
 				continue
 			}
-			anc := wg.Ancestors(v)
 			ok := true
-			for _, u := range wg.Nodes() {
-				if u == v {
-					continue
-				}
-				if _, isAnc := anc[u]; isAnc {
-					continue
-				}
+			for _, u := range candidates(v) {
 				if !cc.commutes(wg.Label(v), wg.Label(u)) {
 					ok = false
 					break
@@ -566,21 +599,18 @@ func eliminate(wg *graph.Graph[*workNode], cc *commuteChecker) []*workNode {
 }
 
 // pruneGraph prunes, for every resource, the definitive writes to paths no
-// other resource touches. Returns the number of pruned paths and, when
-// intern is set, the hash-consing hits from re-canonicalizing the rebuilt
-// models (pruning shrinks trees, so most subtrees are already canonical).
-func pruneGraph(wg *graph.Graph[*workNode], intern bool) (int, int64) {
+// other resource touches. fp indexes the summaries the nodes had before
+// pruning (nodes elimination removed may remain in it). Returns the number
+// of pruned paths and, when intern is set, the hash-consing hits from
+// re-canonicalizing the rebuilt models (pruning shrinks trees, so most
+// subtrees are already canonical).
+func pruneGraph(wg *graph.Graph[*workNode], fp *commute.Index, intern bool) (int, int64) {
 	nodes := wg.Nodes()
 	// Count how many resources touch each path.
 	touchers := make(map[fs.Path]int)
 	for _, n := range nodes {
 		for p := range wg.Label(n).sum.Paths() {
 			touchers[p]++
-		}
-		for d := range wg.Label(n).sum.ChildObserved() {
-			// Observing the children of d counts as touching every
-			// modeled child of d; handled below per candidate.
-			_ = d
 		}
 	}
 	pruned := 0
@@ -598,13 +628,13 @@ func pruneGraph(wg *graph.Graph[*workNode], intern bool) (int, int64) {
 				continue
 			}
 			// No other resource may observe p's presence through its
-			// parent's child-set.
+			// parent's child-set. Pruning only ever drops observations, so
+			// the indexed observers are a superset of the current ones;
+			// each is confirmed against its current (possibly pruned) model.
 			shared := false
-			for _, m := range nodes {
-				if m == n {
-					continue
-				}
-				if wg.Label(m).sum.ObservesChildrenOf(p.Parent()) {
+			for _, id := range fp.Observers(p.Parent()) {
+				m := graph.Node(id)
+				if m != n && wg.Has(m) && wg.Label(m).sum.ObservesChildrenOf(p.Parent()) {
 					shared = true
 					break
 				}
@@ -632,6 +662,43 @@ func pruneGraph(wg *graph.Graph[*workNode], intern bool) (int, int64) {
 	return pruned, internHits
 }
 
+// commuteMatrix decides pairwise commutativity of nodes for partial-order
+// reduction: entry [i][j] reports whether nodes i and j commute, and the
+// diagonal is false. Only the pairs a footprint index over the nodes'
+// current summaries reports as syntactic conflicts reach cc.commutes; every
+// other off-diagonal entry commutes syntactically. Those pairs are all
+// needed, so they fan across the worker pool directly (no early exits to
+// preserve).
+func commuteMatrix(wg *graph.Graph[*workNode], nodes []graph.Node, cc *commuteChecker) ([][]bool, error) {
+	fp := commute.NewIndex()
+	for i, n := range nodes {
+		fp.Add(i, wg.Label(n).sum)
+	}
+	canCommute := make([][]bool, len(nodes))
+	var pairs [][2]int
+	for i, n := range nodes {
+		row := make([]bool, len(nodes))
+		for j := range row {
+			row[j] = j != i
+		}
+		canCommute[i] = row
+		for _, j := range fp.Conflicts(wg.Label(n).sum) {
+			if j > i {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	runParallel(cc.ctx, cc.workers, len(pairs), func(k int) {
+		i, j := pairs[k][0], pairs[k][1]
+		v := cc.commutes(wg.Label(nodes[i]), wg.Label(nodes[j]))
+		canCommute[i][j] = v
+		canCommute[j][i] = v
+	})
+	// A worker panicked or the caller canceled: the matrix may be partial,
+	// so abort instead of enumerating over it.
+	return canCommute, cc.err()
+}
+
 // enumerate explores the POR-reduced linearizations of wg, applying each
 // resource's model symbolically (ΦG of figures 7 and 9a). It returns the
 // symbolic output state and resource order of every explored
@@ -642,29 +709,12 @@ func enumerate(wg *graph.Graph[*workNode], en *sym.Encoder, input *sym.State, op
 	for i, n := range nodes {
 		idx[n] = i
 	}
-	// Pairwise commutativity matrix and descendant sets. Every upper-
-	// triangle entry is needed, so the pairs fan across the worker pool
-	// directly (no early exits to preserve).
-	canCommute := make([][]bool, len(nodes))
-	for i := range nodes {
-		canCommute[i] = make([]bool, len(nodes))
-	}
+	// Pairwise commutativity matrix (read only under Commutativity: without
+	// it neither reduction runs and no sleep set fills) and descendant sets.
+	var canCommute [][]bool
 	if opts.Commutativity {
-		var pairs [][2]int
-		for i := range nodes {
-			for j := i + 1; j < len(nodes); j++ {
-				pairs = append(pairs, [2]int{i, j})
-			}
-		}
-		runParallel(cc.ctx, cc.workers, len(pairs), func(k int) {
-			i, j := pairs[k][0], pairs[k][1]
-			v := cc.commutes(wg.Label(nodes[i]), wg.Label(nodes[j]))
-			canCommute[i][j] = v
-			canCommute[j][i] = v
-		})
-		if err := cc.err(); err != nil {
-			// A worker panicked or the caller canceled: the matrix may be
-			// partial, so abort instead of enumerating over it.
+		var err error
+		if canCommute, err = commuteMatrix(wg, nodes, cc); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -67,6 +67,12 @@ func (g *Graph[L]) HasEdge(u, v Node) bool {
 	return ok
 }
 
+// Has reports whether n is a vertex of g (it was added and not removed).
+func (g *Graph[L]) Has(n Node) bool {
+	_, ok := g.labels[n]
+	return ok
+}
+
 // Label returns the label of n.
 func (g *Graph[L]) Label(n Node) L { return g.labels[n] }
 

@@ -75,7 +75,9 @@ func TestRemove(t *testing.T) {
 	if g.InDegree(d) != 1 {
 		t.Error("in-degree not updated")
 	}
-	_ = c
+	if g.Has(b) || !g.Has(c) {
+		t.Error("Has does not track removal")
+	}
 }
 
 func TestClone(t *testing.T) {

@@ -814,14 +814,16 @@ func (s *Solver) Stats() string {
 }
 
 // varHeap is a max-heap over variable activity used for VSIDS branching.
+// indices holds each variable's heap position, -1 when it is not in the
+// heap; it grows as push sees new variables.
 type varHeap struct {
 	activity *[]float64
 	heap     []Var
-	indices  map[Var]int
+	indices  []int
 }
 
 func newVarHeap(act *[]float64) *varHeap {
-	return &varHeap{activity: act, indices: make(map[Var]int)}
+	return &varHeap{activity: act}
 }
 
 func (h *varHeap) less(i, j int) bool {
@@ -864,8 +866,15 @@ func (h *varHeap) down(i int) {
 	}
 }
 
+func (h *varHeap) contains(v Var) bool {
+	return int(v) < len(h.indices) && h.indices[v] >= 0
+}
+
 func (h *varHeap) push(v Var) {
-	if _, ok := h.indices[v]; ok {
+	for int(v) >= len(h.indices) {
+		h.indices = append(h.indices, -1)
+	}
+	if h.indices[v] >= 0 {
 		return
 	}
 	h.heap = append(h.heap, v)
@@ -881,7 +890,7 @@ func (h *varHeap) pop() (Var, bool) {
 	last := len(h.heap) - 1
 	h.swap(0, last)
 	h.heap = h.heap[:last]
-	delete(h.indices, v)
+	h.indices[v] = -1
 	if last > 0 {
 		h.down(0)
 	}
@@ -889,8 +898,8 @@ func (h *varHeap) pop() (Var, bool) {
 }
 
 func (h *varHeap) update(v Var) {
-	if i, ok := h.indices[v]; ok {
-		h.up(i)
+	if h.contains(v) {
+		h.up(h.indices[v])
 	}
 }
 
