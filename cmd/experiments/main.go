@@ -7,18 +7,6 @@
 //	experiments -fig 12    idempotence-check time on verified manifests
 //	experiments -fig 13    scalability with n mutually-conflicting packages
 //	experiments -bugs      bug-finding summary ("Bugs found" paragraph)
-//	experiments -parallel-bench [-parallel-out BENCH_parallel.json]
-//	                       parallel-engine speedup at 1/2/4/8 workers
-//	experiments -incremental-bench [-incremental-out BENCH_incremental.json]
-//	                       incremental-backend speedup: fresh vs pooled solvers
-//	experiments -interning-bench [-interning-out BENCH_interning.json]
-//	                       hash-consed IR: encode memoization + disk verdict tier
-//	experiments -diff-bench [-diff-out BENCH_diff.json]
-//	                       differential verification: full re-check vs digest diff
-//	experiments -cluster-bench [-cluster-out BENCH_cluster.json]
-//	                       sharded rehearsald ring: warm jobs/sec at 1/2/4 nodes
-//	experiments -sat-bench [-sat-out BENCH_sat.json]
-//	                       portfolio SAT: cold-query p99, single vs k-way race
 //	experiments            all of the above
 //
 // The -timeout flag stands in for the paper's 10-minute limit (default
@@ -26,7 +14,9 @@
 // small limit shows the same shape quickly). The data behind each table is
 // computed by internal/experiments; EXPERIMENTS.md records paper-vs-
 // measured shapes. -cpuprofile and -memprofile write pprof profiles of
-// whatever subset of the experiments ran.
+// whatever subset of the experiments ran. Performance of the tool itself
+// is measured natively by the separate perfbench module (see
+// BENCHMARK.json), not here.
 package main
 
 import (
@@ -43,20 +33,6 @@ import (
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 11a, 11b, 11c, 12, 13 (default: all)")
 	bugs := flag.Bool("bugs", false, "print the bug-finding summary only")
-	parallelBench := flag.Bool("parallel-bench", false, "run the parallel-engine speedup experiment only")
-	parallelOut := flag.String("parallel-out", "", "write the parallel speedup results as a JSON trajectory point (e.g. BENCH_parallel.json)")
-	incrementalBench := flag.Bool("incremental-bench", false, "run the incremental-backend speedup experiment only")
-	incrementalOut := flag.String("incremental-out", "", "write the incremental speedup results as a JSON trajectory point (e.g. BENCH_incremental.json)")
-	interningBench := flag.Bool("interning-bench", false, "run the hash-consed-IR speedup experiment only")
-	interningOut := flag.String("interning-out", "", "write the interning speedup results as a JSON trajectory point (e.g. BENCH_interning.json)")
-	serviceBench := flag.Bool("service-bench", false, "run the rehearsald warm-substrate throughput experiment only")
-	serviceOut := flag.String("service-out", "", "write the service throughput results as a JSON trajectory point (e.g. BENCH_service.json)")
-	diffBench := flag.Bool("diff-bench", false, "run the differential-verification speedup experiment only")
-	diffOut := flag.String("diff-out", "", "write the differential speedup results as a JSON trajectory point (e.g. BENCH_diff.json)")
-	clusterBench := flag.Bool("cluster-bench", false, "run the sharded-cluster throughput experiment only")
-	clusterOut := flag.String("cluster-out", "", "write the cluster throughput results as a JSON trajectory point (e.g. BENCH_cluster.json)")
-	satBench := flag.Bool("sat-bench", false, "run the portfolio-SAT cold-query latency experiment only")
-	satOut := flag.String("sat-out", "", "write the portfolio-SAT results as a JSON trajectory point (e.g. BENCH_sat.json)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-check timeout (paper: 10 minutes)")
@@ -91,20 +67,6 @@ func main() {
 	switch {
 	case *bugs:
 		printBugs(*timeout)
-	case *parallelBench:
-		printParallel(*timeout, *parallelOut)
-	case *incrementalBench:
-		printIncremental(*timeout, *incrementalOut)
-	case *interningBench:
-		printInterning(*timeout, *interningOut)
-	case *serviceBench:
-		printService(*timeout, *serviceOut)
-	case *diffBench:
-		printDiff(*timeout, *diffOut)
-	case *clusterBench:
-		printCluster(*timeout, *clusterOut)
-	case *satBench:
-		printSat(*timeout, *satOut)
 	case *fig == "":
 		printFig11a(*timeout)
 		printFig11b(*timeout)
@@ -112,13 +74,6 @@ func main() {
 		printFig12(*timeout)
 		printFig13(*timeout, *maxN)
 		printBugs(*timeout)
-		printParallel(*timeout, *parallelOut)
-		printIncremental(*timeout, *incrementalOut)
-		printInterning(*timeout, *interningOut)
-		printService(*timeout, *serviceOut)
-		printDiff(*timeout, *diffOut)
-		printCluster(*timeout, *clusterOut)
-		printSat(*timeout, *satOut)
 	case *fig == "11a":
 		printFig11a(*timeout)
 	case *fig == "11b":
@@ -228,183 +183,6 @@ func printFig13(timeout time.Duration, maxN int) {
 		fmt.Printf("%4d %12s %12d   (%s)\n", r.N, fmtTime(r.Time, false), r.Sequences, verdict)
 	}
 	fmt.Println()
-}
-
-// runBench is the shared harness behind every -*-bench flag: floor the
-// figure timeout (the modeled series sleep real wall-clock time), build
-// the report, print its table, and write the JSON trajectory point when
-// an -*-out path was given. Each bench contributes only its builder and
-// its table.
-func runBench[T interface{ Write(string) error }](timeout, floor time.Duration, out string,
-	build func(time.Duration) (T, error), print func(T)) {
-	if timeout < floor {
-		timeout = floor
-	}
-	rep, err := build(timeout)
-	if err != nil {
-		fatal(err)
-	}
-	print(rep)
-	if out != "" {
-		if err := rep.Write(out); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
-}
-
-func printParallel(timeout time.Duration, out string) {
-	// The modeled series sleeps 250ms per query; give the sequential run
-	// enough headroom regardless of the figure timeout.
-	runBench(timeout, time.Minute, out, func(t time.Duration) (*experiments.ParallelReport, error) {
-		return experiments.BuildParallelReport(t, []int{1, 2, 4, 8})
-	}, printParallelTable)
-}
-
-func printParallelTable(rep *experiments.ParallelReport) {
-	fmt.Println("== Parallel determinacy engine: speedup vs workers ==")
-	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("%8s %14s %14s %10s %10s\n", "workers", "native", "modeled-z3", "queries", "hits")
-	for i, r := range rep.Native {
-		m := rep.ModeledZ3[i]
-		fmt.Printf("%8d %14s %14s %10d %10d\n", r.Workers,
-			fmtTime(r.Time, r.TimedOut), fmtTime(m.Time, m.TimedOut), r.Queries, r.CacheHits)
-	}
-	fmt.Printf("speedup at 4 workers: native %.2fx, modeled-z3 %.2fx\n\n",
-		rep.NativeSpeedup4, rep.ModeledSpeedup4)
-}
-
-func printIncremental(timeout time.Duration, out string) {
-	// The modeled fresh series sleeps 300ms per query; give the runs
-	// headroom regardless of the figure timeout.
-	runBench(timeout, time.Minute, out, experiments.BuildIncrementalReport, printIncrementalTable)
-}
-
-func printIncrementalTable(rep *experiments.IncrementalReport) {
-	fmt.Println("== Incremental SMT backend: fresh vs pooled solvers ==")
-	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("%-12s %14s %14s %10s %8s %8s %8s\n",
-		"mode", "native", "modeled-z3", "queries", "reuses", "learnt", "presimp")
-	for i, r := range rep.Native {
-		m := rep.ModeledZ3[i]
-		fmt.Printf("%-12s %14s %14s %10d %8d %8d %8d\n", r.Mode,
-			fmtTime(r.Time, r.TimedOut), fmtTime(m.Time, m.TimedOut),
-			r.Queries, r.SolverReuses, r.LearntRetained, r.PreprocessRemoved)
-	}
-	fmt.Printf("warm-pool speedup over fresh: native %.2fx, modeled-z3 %.2fx (cold %.2fx)\n\n",
-		rep.NativeWarmSpeedup, rep.ModeledWarmSpeedup, rep.ModeledColdSpeedup)
-}
-
-func printInterning(timeout time.Duration, out string) {
-	// The modeled series sleep hundreds of milliseconds per cold query;
-	// give the runs headroom regardless of the figure timeout.
-	runBench(timeout, time.Minute, out, experiments.BuildInterningReport, printInterningTable)
-}
-
-func printInterningTable(rep *experiments.InterningReport) {
-	fmt.Println("== Hash-consed IR: encode memoization + on-disk verdict tier ==")
-	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("%-14s %12s %10s %12s %12s %10s\n",
-		"mode", "time", "queries", "intern-hits", "encode-memo", "disk-hits")
-	for _, r := range append(append([]experiments.InterningRow{}, rep.Encode...), rep.Disk...) {
-		fmt.Printf("%-14s %12s %10d %12d %12d %10d\n", r.Mode,
-			fmtTime(r.Time, r.TimedOut), r.Queries, r.InternHits, r.EncodeMemoHits, r.DiskCacheHits)
-	}
-	fmt.Printf("encode speedup over fresh-plain: cold %.2fx, warm %.2fx; disk warm-start speedup: %.2fx\n",
-		rep.EncodeColdSpeedup, rep.EncodeWarmSpeedup, rep.DiskWarmSpeedup)
-	fmt.Printf("digest micro-series: %d exprs x %d passes, plain %.4fs vs interned %.4fs (%.0fx)\n\n",
-		rep.Digest.Exprs, rep.Digest.Passes, rep.Digest.PlainSeconds, rep.Digest.InternedSeconds, rep.Digest.Speedup)
-}
-
-func printService(timeout time.Duration, out string) {
-	runBench(timeout, time.Minute, out, experiments.BuildServiceReport, printServiceTable)
-}
-
-func printServiceTable(rep *experiments.ServiceReport) {
-	fmt.Println("== rehearsald: warm-substrate service throughput ==")
-	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("%-8s %-10s %6s %10s %10s %10s %10s %8s %10s %8s\n",
-		"workers", "round", "jobs", "time", "jobs/s", "p50", "p99", "queries", "cache-hits", "deduped")
-	for _, r := range rep.Rows {
-		fmt.Printf("%-8d %-10s %6d %9.3fs %10.1f %8.1fms %8.1fms %8d %10d %8d\n",
-			r.Workers, r.Round, r.Jobs, r.Seconds, r.JobsPerSec,
-			r.P50MS, r.P99MS, r.Queries, r.CacheHits, r.Deduped)
-	}
-	for _, s := range rep.Speedups {
-		fmt.Printf("workers=%d: warm substrate %.2fx over cold, resubmission %.2fx over cold\n",
-			s.Workers, s.WarmOverCold, s.ResubmitOverCold)
-	}
-	fmt.Println()
-}
-
-func printDiff(timeout time.Duration, out string) {
-	// The synthetic full runs sleep 25ms per query across 190 queries at
-	// one worker; give them headroom regardless of the figure timeout.
-	runBench(timeout, 5*time.Minute, out, experiments.BuildDiffReport, printDiffTable)
-}
-
-func printDiffTable(rep *experiments.DiffReport) {
-	fmt.Println("== Differential verification: full re-check vs digest-level diff ==")
-	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("%6s %6s %8s %10s %10s %8s %8s %8s %8s\n",
-		"edit%", "edited", "workers", "full", "diff", "speedup", "reused", "resolved", "misses")
-	for _, r := range rep.Synthetic {
-		fmt.Printf("%6d %6d %8d %9.3fs %9.3fs %7.1fx %8d %8d %8d\n",
-			r.EditPercent, r.EditedResources, r.Workers,
-			r.FullSeconds, r.DiffSeconds, r.Speedup,
-			r.PairsReused, r.PairsReverified, r.InheritMisses)
-	}
-	h := rep.Hosting
-	fmt.Printf("hosting.pp one-resource edit (%d worker, %dms modeled z3): full %.3fs vs diff %.3fs = %.1fx (%d pairs inherited, %d solver queries)\n\n",
-		h.Workers, h.ModeledLatencyMS, h.FullSeconds, h.DiffSeconds, h.Speedup, h.PairsReused, h.DiffQueries)
-}
-
-func printCluster(timeout time.Duration, out string) {
-	runBench(timeout, time.Minute, out, func(t time.Duration) (*experiments.ClusterReport, error) {
-		return experiments.BuildClusterReport(t, experiments.ClusterBenchConfig{})
-	}, printClusterTable)
-}
-
-func printClusterTable(rep *experiments.ClusterReport) {
-	fmt.Println("== Sharded cluster: warm jobs/sec vs node count ==")
-	fmt.Printf("workload: %s (host CPUs: %d, seed %d)\n", rep.Workload, rep.HostCPUs, rep.Seed)
-	fmt.Printf("%6s %-6s %6s %10s %10s %10s %10s %9s %12s\n",
-		"nodes", "round", "jobs", "time", "jobs/s", "p50", "p99", "queries", "remote-hits")
-	for _, r := range rep.Rows {
-		fmt.Printf("%6d %-6s %6d %9.3fs %10.1f %8.1fms %8.1fms %9d %12d\n",
-			r.Nodes, r.Round, r.Jobs, r.Seconds, r.JobsPerSec, r.P50MS, r.P99MS, r.Queries, r.RemoteHits)
-	}
-	for _, s := range rep.Scaling {
-		fmt.Printf("nodes=%d: warm %.1f jobs/s (%.2fx over one node), ring %d hits / %d puts, %d jobs proxied to their owner\n",
-			s.Nodes, s.WarmJobsPerSec, s.SpeedupOverOne, s.RingHits, s.RingPuts, s.RoutedProxied)
-	}
-	fmt.Printf("verdicts byte-identical across fleet sizes: %v\n\n", rep.VerdictsIdentical)
-}
-
-func printSat(timeout time.Duration, out string) {
-	runBench(timeout, time.Minute, out, experiments.BuildSatReport, printSatTable)
-}
-
-func printSatTable(rep *experiments.SatReport) {
-	fmt.Println("== Portfolio SAT: cold-query latency, single config vs k-way race ==")
-	fmt.Printf("workload: %s (host CPUs: %d)\n", rep.Workload, rep.HostCPUs)
-	fmt.Printf("configs: %v; escalation budget E=%d conflicts; %dus/conflict modeled, tail sigma %.1f\n",
-		rep.Configs, rep.EscalateConflicts, rep.ModeledConflictLatencyUS, rep.TailSigma)
-	fmt.Printf("%-10s %10s %10s %10s %10s\n", "series", "p50", "p90", "p99", "mean")
-	for _, s := range []struct {
-		name string
-		d    experiments.SatSeries
-	}{{"single", rep.Single}, {"k=2", rep.Portfolio2}, {"k=4", rep.Portfolio4}} {
-		fmt.Printf("%-10s %8.1fms %8.1fms %8.1fms %8.1fms\n",
-			s.name, s.d.P50MS, s.d.P90MS, s.d.P99MS, s.d.MeanMS)
-	}
-	fmt.Printf("p99 speedup: k=2 %.2fx, k=4 %.2fx (floor %.1fx); p50 at k=4 %.2fx\n",
-		rep.P99Speedup2, rep.P99Speedup4, experiments.MinSatP99Speedup, rep.P50Speedup4)
-	fmt.Printf("verdicts identical: %v, witnesses identical: %v; real k=4 race winners: %v\n",
-		rep.VerdictsIdentical, rep.WitnessesIdentical, rep.RaceWinners)
-	e := rep.Engine
-	fmt.Printf("engine differential (%s, %d workers): single %.3fs vs portfolio %.3fs, %d escalations, %d races, report identical: %v\n\n",
-		e.Manifest, e.Workers, e.SingleSeconds, e.PortfolioSeconds, e.Escalations, e.Races, e.ReportIdentical)
 }
 
 func printBugs(timeout time.Duration) {

@@ -100,30 +100,26 @@ type Options struct {
 	// PerQueryLatency models the round-trip cost of an external solver
 	// process on every semantic-commutativity query, mirroring the
 	// paper's setup (Z3 behind IPC) the same way internal/dynamic models
-	// per-resource container latency. Benchmarks use it to measure how
-	// well the worker pool overlaps query latency on hosts with few
-	// cores; 0 (production) runs queries at native in-process speed.
+	// per-resource container latency. 0 (production) runs queries at
+	// native in-process speed.
 	PerQueryLatency time.Duration
 	// FreshSolvers disables the incremental solver pool and builds an
 	// isolated vocabulary, encoder and solver for every semantic-
 	// commutativity query. Verdicts are identical either way (the
 	// differential tests enforce it); the fresh path exists as the
-	// baseline for those tests and for the incremental benchmark.
+	// baseline for those tests.
 	FreshSolvers bool
 	// PerSolverLatency models the construction cost of an external solver
 	// process (spawning Z3, loading the theory). The fresh-solver path
 	// pays it on every query; the pooled path only when a pool miss
-	// constructs a new solver. Benchmarks use the pair
-	// (PerQueryLatency, PerSolverLatency) to project in-process speedups
-	// onto the paper's external-solver setup; 0 (production) adds nothing.
+	// constructs a new solver. 0 (production) adds nothing.
 	PerSolverLatency time.Duration
 	// PerEncodeLatency models the cost of symbolically compiling one
 	// component subtree of a semantic-commutativity query into an external
 	// solver's term language. The fresh-solver path pays it four times per
 	// query (both resource models, in both orders); a pooled session pays
 	// it once per apply-memo miss, so warm sessions over interned
-	// expressions pay nearly nothing. Benchmarks use it to project the
-	// encode-memoization speedup; 0 (production) adds nothing.
+	// expressions pay nearly nothing. 0 (production) adds nothing.
 	PerEncodeLatency time.Duration
 	// CacheDir enables the on-disk verdict tier (internal/qcache's Disk):
 	// semantic-commutativity verdicts computed by this process are written

@@ -10,7 +10,9 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,6 +27,22 @@ import (
 func diffWorkload(n int) (base, head string, provider pkgdb.Provider) {
 	head, provider = parallelWorkload(n + 1)
 	base, _ = parallelWorkload(n)
+	return base, head, provider
+}
+
+// swapWorkload returns base and head manifests over the parallelWorkload
+// catalog: head swaps svc-1 for an equivalently-shaped substitute, so
+// n-1 resources are unchanged and every pair touching the substitute
+// must be re-verified.
+func swapWorkload(n int) (base, head string, provider pkgdb.Provider) {
+	base, provider = parallelWorkload(n)
+	provider.(*pkgdb.Catalog).Add("ubuntu", &pkgdb.Package{
+		Name:    "alt-1",
+		Version: "1.0",
+		Depends: []string{"libcommon"},
+		Files:   []string{"/usr/lib/alt-1/lib000"},
+	})
+	head = strings.Replace(base, "'svc-1'", "'alt-1'", 1)
 	return base, head, provider
 }
 
@@ -56,58 +74,155 @@ func checkWorkloadDiff(t *testing.T, base, head string, provider pkgdb.Provider,
 // TestDiffVerdictsMatchFull: at 1 and 8 workers, a differential run
 // against a warm base cache returns the same verdict as a full cold
 // verification of head, inherits every unchanged pair without a solver
-// query, and re-solves exactly the pairs touching the added resource.
+// query, and re-solves exactly the pairs touching the one changed
+// resource — whether head adds a package or swaps one.
 func TestDiffVerdictsMatchFull(t *testing.T) {
 	const n = 8
-	base, head, provider := diffWorkload(n)
+	edits := []struct {
+		name      string
+		workload  func(int) (string, string, pkgdb.Provider)
+		unchanged int
+	}{
+		{"added", diffWorkload, n},
+		{"swapped", swapWorkload, n - 1},
+	}
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cache := qcache.New()
-			// Warm: a full verification of the base version.
-			baseRes := checkWorkload(t, base, provider, workers, cache)
-			if !baseRes.Deterministic {
-				t.Fatal("base workload should be deterministic")
-			}
-			if baseRes.Stats.SemQueries != n*(n-1)/2 {
-				t.Fatalf("base solved %d queries, want %d", baseRes.Stats.SemQueries, n*(n-1)/2)
-			}
+			for _, edit := range edits {
+				base, head, provider := edit.workload(n)
+				u := edit.unchanged
+				t.Run(edit.name, func(t *testing.T) {
+					cache := qcache.New()
+					// Warm: a full verification of the base version.
+					baseRes := checkWorkload(t, base, provider, workers, cache)
+					if !baseRes.Deterministic {
+						t.Fatal("base workload should be deterministic")
+					}
+					if baseRes.Stats.SemQueries != n*(n-1)/2 {
+						t.Fatalf("base solved %d queries, want %d", baseRes.Stats.SemQueries, n*(n-1)/2)
+					}
 
-			res := checkWorkloadDiff(t, base, head, provider, workers, cache)
-			full := checkWorkload(t, head, provider, workers, qcache.New())
+					res := checkWorkloadDiff(t, base, head, provider, workers, cache)
+					full := checkWorkload(t, head, provider, workers, qcache.New())
 
-			if res.Deterministic != full.Deterministic {
-				t.Fatalf("verdict differs: diff=%v full=%v", res.Deterministic, full.Deterministic)
-			}
-			if !reflect.DeepEqual(res.Counterexample, full.Counterexample) {
-				t.Errorf("counterexamples differ:\ndiff: %+v\nfull: %+v", res.Counterexample, full.Counterexample)
-			}
-			if res.Stats.Sequences != full.Stats.Sequences || res.Stats.Paths != full.Stats.Paths {
-				t.Errorf("exploration stats differ:\ndiff: %+v\nfull: %+v", res.Stats, full.Stats)
-			}
+					if res.Deterministic != full.Deterministic {
+						t.Fatalf("verdict differs: diff=%v full=%v", res.Deterministic, full.Deterministic)
+					}
+					if !reflect.DeepEqual(res.Counterexample, full.Counterexample) {
+						t.Errorf("counterexamples differ:\ndiff: %+v\nfull: %+v", res.Counterexample, full.Counterexample)
+					}
+					if res.Stats.Sequences != full.Stats.Sequences || res.Stats.Paths != full.Stats.Paths {
+						t.Errorf("exploration stats differ:\ndiff: %+v\nfull: %+v", res.Stats, full.Stats)
+					}
 
-			if res.Stats.DiffChanged != 1 || res.Stats.DiffUnchanged != n {
-				t.Errorf("partition: changed=%d unchanged=%d, want 1/%d",
-					res.Stats.DiffChanged, res.Stats.DiffUnchanged, n)
-			}
-			// Every unchanged pair inherited, every new pair re-solved,
-			// and no unchanged pair fell back to the solver.
-			if res.Stats.PairsReused != n*(n-1)/2 {
-				t.Errorf("pairs reused = %d, want %d", res.Stats.PairsReused, n*(n-1)/2)
-			}
-			if res.Stats.PairsReverified != n {
-				t.Errorf("pairs re-verified = %d, want %d", res.Stats.PairsReverified, n)
-			}
-			if res.Stats.InheritMisses != 0 {
-				t.Errorf("inherit misses = %d, want 0", res.Stats.InheritMisses)
-			}
-			// Zero solver queries for inherited pairs: the run's query
-			// count is exactly the re-verified pair count.
-			if res.Stats.SemQueries != n {
-				t.Errorf("diff run solved %d queries, want %d (inherited pairs must not reach the solver)",
-					res.Stats.SemQueries, n)
+					if res.Stats.DiffChanged != 1 || res.Stats.DiffUnchanged != u {
+						t.Errorf("partition: changed=%d unchanged=%d, want 1/%d",
+							res.Stats.DiffChanged, res.Stats.DiffUnchanged, u)
+					}
+					// Every unchanged pair inherited, every pair touching the
+					// changed resource re-solved, and no unchanged pair fell
+					// back to the solver.
+					if res.Stats.PairsReused != u*(u-1)/2 {
+						t.Errorf("pairs reused = %d, want %d", res.Stats.PairsReused, u*(u-1)/2)
+					}
+					if res.Stats.PairsReverified != u {
+						t.Errorf("pairs re-verified = %d, want %d", res.Stats.PairsReverified, u)
+					}
+					if res.Stats.InheritMisses != 0 {
+						t.Errorf("inherit misses = %d, want 0", res.Stats.InheritMisses)
+					}
+					// Zero solver queries for inherited pairs: the run's query
+					// count is exactly the re-verified pair count.
+					if res.Stats.SemQueries != res.Stats.PairsReverified {
+						t.Errorf("diff run solved %d queries for %d re-verified pairs (inherited pairs must not reach the solver)",
+							res.Stats.SemQueries, res.Stats.PairsReverified)
+					}
+				})
 			}
 		})
+	}
+}
+
+// hostingDiffCatalog builds the enriched catalog TestDiffHostingEdit
+// checks hosting.pp under: the default closures of the three LAMP
+// packages plus a shared base library they all depend on, so every
+// package pair writes the same closure files (a syntactic conflict
+// discharged by one semantic-commutativity query each — the solver work
+// a small edit should not have to repeat).
+func hostingDiffCatalog() (pkgdb.Provider, error) {
+	def := pkgdb.DefaultCatalog()
+	cat := pkgdb.NewCatalog()
+	lib := &pkgdb.Package{Name: "libhosting-base", Version: "1.0"}
+	for i := 0; i < 12; i++ {
+		lib.Files = append(lib.Files, fmt.Sprintf("/usr/lib/libhosting-base/lib%03d", i))
+	}
+	cat.Add("ubuntu", lib)
+	for _, name := range []string{"apache2", "mysql-server", "php5"} {
+		closure, err := def.Closure("ubuntu", name)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range closure {
+			q := *p
+			if q.Name == name {
+				q.Depends = append(append([]string(nil), q.Depends...), lib.Name)
+			}
+			cat.Add("ubuntu", &q)
+		}
+	}
+	return cat, nil
+}
+
+// TestDiffHostingEdit: a one-resource edit of the largest seed manifest
+// (one more Listen line in ports.conf) under the enriched catalog. The
+// differential run must match the full verdict, classify exactly one
+// resource as changed, and inherit every package pair without a single
+// solver query.
+func TestDiffHostingEdit(t *testing.T) {
+	src, err := os.ReadFile("../benchmarks/manifests/hosting.pp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := string(src)
+	// The manifest source spells newlines as literal \n escapes.
+	const anchor = `Listen 80\nListen 443\n`
+	head := strings.Replace(base, anchor, `Listen 80\nListen 443\nListen 8080\n`, 1)
+	if head == base {
+		t.Fatalf("edit anchor %q not found in hosting.pp", anchor)
+	}
+	provider, err := hostingDiffCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache := qcache.New()
+	if baseRes := checkWorkload(t, base, provider, 1, cache); !baseRes.Deterministic {
+		t.Fatal("hosting.pp should be deterministic")
+	}
+	res := checkWorkloadDiff(t, base, head, provider, 1, cache)
+	full := checkWorkload(t, head, provider, 1, qcache.New())
+	if full.Stats.SemQueries < 3 {
+		t.Fatalf("full check ran %d semantic queries, want >=3 (the LAMP package pairs)", full.Stats.SemQueries)
+	}
+
+	if res.Deterministic != full.Deterministic {
+		t.Fatalf("verdict differs: diff=%v full=%v", res.Deterministic, full.Deterministic)
+	}
+	if !reflect.DeepEqual(res.Counterexample, full.Counterexample) {
+		t.Errorf("counterexamples differ:\ndiff: %+v\nfull: %+v", res.Counterexample, full.Counterexample)
+	}
+	if res.Stats.DiffChanged != 1 {
+		t.Errorf("diff changed = %d, want 1", res.Stats.DiffChanged)
+	}
+	if res.Stats.SemQueries != 0 {
+		t.Errorf("diff run solved %d queries, want 0 (every package pair is unchanged)", res.Stats.SemQueries)
+	}
+	if res.Stats.PairsReused < 3 {
+		t.Errorf("pairs reused = %d, want >=3 (the LAMP package pairs)", res.Stats.PairsReused)
+	}
+	if res.Stats.InheritMisses != 0 {
+		t.Errorf("inherit misses = %d, want 0", res.Stats.InheritMisses)
 	}
 }
 

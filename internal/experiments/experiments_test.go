@@ -89,60 +89,6 @@ func TestBugsShape(t *testing.T) {
 	}
 }
 
-func TestDiffSpeedupShape(t *testing.T) {
-	// Small native-latency instance of the synthetic matrix; the
-	// soundness self-checks (matching verdicts, exact inheritance, zero
-	// solver work for inherited pairs) run inside DiffSpeedup.
-	const n = 6
-	rows, err := DiffSpeedup(timeout, n, []int{25}, []int{2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	r := rows[0]
-	if r.TimedOut {
-		t.Fatal("diff row timed out")
-	}
-	if r.EditedResources != 1 {
-		t.Errorf("edited resources = %d, want 1", r.EditedResources)
-	}
-	if r.FullQueries != n*(n-1)/2 {
-		t.Errorf("full queries = %d, want %d", r.FullQueries, n*(n-1)/2)
-	}
-	// One swapped package: the other n-1 pairs among unchanged resources
-	// are inherited, and only pairs touching the swap are re-solved.
-	if r.PairsReused != (n-1)*(n-2)/2 {
-		t.Errorf("pairs reused = %d, want %d", r.PairsReused, (n-1)*(n-2)/2)
-	}
-	if r.DiffQueries >= r.FullQueries {
-		t.Errorf("diff run solved %d queries, full %d — nothing was inherited", r.DiffQueries, r.FullQueries)
-	}
-	if r.InheritMisses != 0 {
-		t.Errorf("inherit misses = %d", r.InheritMisses)
-	}
-}
-
-func TestHostingDiffShape(t *testing.T) {
-	// Native latency keeps the test fast; HostingDiffSpeedup enforces
-	// the soundness invariants (one-resource delta, zero diff-run solver
-	// queries, matching verdicts) internally.
-	res, err := HostingDiffSpeedup(timeout, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DiffQueries != 0 {
-		t.Errorf("diff queries = %d, want 0", res.DiffQueries)
-	}
-	if res.PairsReused < 3 {
-		t.Errorf("pairs reused = %d, want >=3 (the LAMP package pairs)", res.PairsReused)
-	}
-	if res.DiffChanged != 1 {
-		t.Errorf("diff changed = %d, want 1", res.DiffChanged)
-	}
-}
-
 func TestFig12Shape(t *testing.T) {
 	rows, err := Fig12(timeout)
 	if err != nil {

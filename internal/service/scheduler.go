@@ -74,9 +74,8 @@ type Config struct {
 	// their ring owner, and the peer cache/ring endpoints are served.
 	Cluster *cluster.Node
 	// ModeledJobLatency, when > 0, floors each job's execution time with a
-	// sleep. Benchmarks use it to model real per-job work (solver time,
-	// catalog I/O) so scheduling and routing effects are measurable on one
-	// machine; production leaves it 0.
+	// sleep modeling real per-job work (solver time, catalog I/O);
+	// production leaves it 0.
 	ModeledJobLatency time.Duration
 }
 

@@ -9,10 +9,11 @@ package sym
 // formula (see equiv.go). The race therefore changes latency and nothing
 // else.
 //
-// Two shapes are provided: RaceEquiv/RaceCommutes over pre-built
-// Sessions (the warm pooled path of internal/core, one session per
-// config) and PortfolioEquiv/PortfolioCommutes over fresh encoders (the
-// stateless path; also what the differential fuzzer exercises).
+// RaceEquiv/RaceCommutes race pre-built Sessions (the warm pooled path
+// of internal/core, one session per config); PortfolioEquiv and
+// PortfolioCommutes build fresh sessions for a single query and race
+// them the same way (the stateless path; also what the differential
+// fuzzer exercises).
 
 import (
 	"sync"
@@ -142,9 +143,9 @@ func RaceCommutes(sessions []*Session, e1, e2 fs.Expr, opts Options) (bool, *Cou
 	return RaceEquiv(sessions, fs.Seq{E1: e1, E2: e2}, fs.Seq{E1: e2, E2: e1}, opts)
 }
 
-// PortfolioEquiv decides e1 ≡ e2 by racing fresh single-use encoders,
-// one per config. Semantics match RaceEquiv; use it when no warm
-// session pool exists.
+// PortfolioEquiv decides e1 ≡ e2 by racing fresh sessions, one per
+// config, over the query's own vocabulary. Semantics match RaceEquiv;
+// use it when no warm session pool exists.
 func PortfolioEquiv(e1, e2 fs.Expr, cfgs []sat.Config, opts Options) (bool, *Counterexample, int, error) {
 	if len(cfgs) == 0 {
 		cfgs = []sat.Config{{}}
@@ -152,57 +153,14 @@ func PortfolioEquiv(e1, e2 fs.Expr, cfgs []sat.Config, opts Options) (bool, *Cou
 	dom := fs.Dom(e1)
 	dom.AddAll(fs.Dom(e2))
 	v := NewVocab(dom, e1, e2)
-	var (
-		stop     atomic.Bool
-		winner   atomic.Int32
-		encoders = make([]*Encoder, len(cfgs))
-		inputs   = make([]*State, len(cfgs))
-		statuses = make([]sat.Status, len(cfgs))
-		wg       sync.WaitGroup
-	)
-	winner.Store(-1)
+	sessions := make([]*Session, len(cfgs))
 	for i, cfg := range cfgs {
-		wg.Add(1)
-		go func(i int, cfg sat.Config) {
-			defer wg.Done()
-			en := NewEncoderConfig(v, cfg)
-			if opts.Budget > 0 {
-				en.S.SetBudget(opts.Budget)
-			}
-			en.S.SetStop(&stop)
-			input := en.FreshInputState("in")
-			out1 := en.Apply(e1, input)
-			out2 := en.Apply(e2, input)
-			en.S.Assert(en.StatesDiffer(out1, out2))
-			st := en.S.Check()
-			encoders[i], inputs[i], statuses[i] = en, input, st
-			if opts.Metrics != nil {
-				opts.Metrics.add(en.S.Counters())
-			}
-			if st != sat.Unknown && winner.CompareAndSwap(-1, int32(i)) {
-				stop.Store(true)
-			}
-		}(i, cfg)
+		sessions[i] = NewSessionConfig(v, cfg)
 	}
-	wg.Wait()
-	w := int(winner.Load())
-	if w < 0 {
-		return false, nil, -1, ErrBudget
-	}
-	if statuses[w] == sat.Unsat {
-		return true, nil, w, nil
-	}
-	en := encoders[w]
-	en.S.SetStop(nil)
-	before := en.S.Counters()
-	cex := canonicalCounterexample(en, inputs[w], e1, e2)
-	if opts.Metrics != nil {
-		opts.Metrics.add(en.S.Counters().Sub(before))
-	}
-	return false, cex, w, nil
+	return RaceEquiv(sessions, e1, e2, opts)
 }
 
-// PortfolioCommutes decides e1; e2 ≡ e2; e1 by racing fresh encoders.
+// PortfolioCommutes decides e1; e2 ≡ e2; e1 by racing fresh sessions.
 func PortfolioCommutes(e1, e2 fs.Expr, cfgs []sat.Config, opts Options) (bool, *Counterexample, int, error) {
 	return PortfolioEquiv(fs.Seq{E1: e1, E2: e2}, fs.Seq{E1: e2, E2: e1}, cfgs, opts)
 }
