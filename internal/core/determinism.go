@@ -467,7 +467,7 @@ func (s *System) replay(wg *graph.Graph[*workNode], eliminated []*workNode, in f
 	}
 	names1, e1 := build(order1)
 	names2, e2 := build(order2)
-	if !diverges(e1, e2, in) {
+	if !diverges(e1, e2, in, fs.NewState(), fs.NewState()) {
 		return nil
 	}
 	in = minimizeInput(e1, e2, in, keepWellFormed)
@@ -482,10 +482,11 @@ func (s *System) replay(wg *graph.Graph[*workNode], eliminated []*workNode, in f
 }
 
 // diverges reports whether the two sequenced expressions produce different
-// outcomes from in.
-func diverges(e1, e2 fs.Expr, in fs.State) bool {
-	out1, ok1 := fs.Eval(e1, in)
-	out2, ok2 := fs.Eval(e2, in)
+// outcomes from in. It evaluates into the scratch states s1 and s2,
+// overwriting them.
+func diverges(e1, e2 fs.Expr, in, s1, s2 fs.State) bool {
+	out1, ok1 := fs.EvalInto(e1, in, s1)
+	out2, ok2 := fs.EvalInto(e2, in, s2)
 	if ok1 != ok2 {
 		return true
 	}
@@ -495,15 +496,18 @@ func diverges(e1, e2 fs.Expr, in fs.State) bool {
 // minimizeInput greedily removes entries from the witness filesystem while
 // the two orders still diverge, so reported counterexamples mention only
 // the state that matters. Removing one entry can unblock another (e.g. a
-// file inside a directory), so the pass repeats until a fixpoint.
+// file inside a directory), so the pass repeats until a fixpoint. Every
+// trial evaluates into the same two scratch states, so a trial allocates
+// nothing once they have grown to the programs' output size.
 func minimizeInput(e1, e2 fs.Expr, in fs.State, keepWellFormed bool) fs.State {
 	min := in.Clone()
+	s1, s2 := fs.NewState(), fs.NewState()
 	for changed := true; changed; {
 		changed = false
 		for _, p := range min.Paths() {
 			saved := min[p]
 			delete(min, p)
-			if diverges(e1, e2, min) && (!keepWellFormed || min.IsWellFormed()) {
+			if diverges(e1, e2, min, s1, s2) && (!keepWellFormed || min.IsWellFormed()) {
 				changed = true
 				continue
 			}
@@ -710,12 +714,23 @@ func enumerate(wg *graph.Graph[*workNode], en *sym.Encoder, input *sym.State, op
 		idx[n] = i
 	}
 	// Pairwise commutativity matrix (read only under Commutativity: without
-	// it neither reduction runs and no sleep set fills) and descendant sets.
+	// it neither reduction runs and no sleep set fills), each node's
+	// conflicts (the nodes it does not commute with, the only ones that can
+	// stop it being a pivot) and descendant sets.
 	var canCommute [][]bool
+	var conflicts [][]int
 	if opts.Commutativity {
 		var err error
 		if canCommute, err = commuteMatrix(wg, nodes, cc); err != nil {
 			return nil, nil, err
+		}
+		conflicts = make([][]int, len(nodes))
+		for i, row := range canCommute {
+			for j, ok := range row {
+				if !ok && j != i {
+					conflicts[i] = append(conflicts[i], j)
+				}
+			}
 		}
 	}
 	desc := make([]map[graph.Node]struct{}, len(nodes))
@@ -781,14 +796,12 @@ func enumerate(wg *graph.Graph[*workNode], en *sym.Encoder, input *sym.State, op
 		if opts.Commutativity {
 			for _, e := range ready {
 				pivot := true
-				for _, m := range nodes {
-					if m == e || !remaining[m] {
+				for _, j := range conflicts[idx[e]] {
+					m := nodes[j]
+					if !remaining[m] {
 						continue
 					}
-					if _, isDesc := desc[idx[e]][m]; isDesc {
-						continue
-					}
-					if !canCommute[idx[e]][idx[m]] {
+					if _, isDesc := desc[idx[e]][m]; !isDesc {
 						pivot = false
 						break
 					}

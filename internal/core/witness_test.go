@@ -31,13 +31,14 @@ func TestCounterexampleMinimal(t *testing.T) {
 			return fs.SeqAll(exprs...)
 		}
 		e1, e2 := seq(cex.Order1), seq(cex.Order2)
-		if !diverges(e1, e2, cex.Input) {
+		s1, s2 := fs.NewState(), fs.NewState()
+		if !diverges(e1, e2, cex.Input, s1, s2) {
 			t.Fatalf("witness does not diverge: %s", fs.StateString(cex.Input))
 		}
 		for _, p := range cex.Input.Paths() {
 			reduced := cex.Input.Clone()
 			delete(reduced, p)
-			if diverges(e1, e2, reduced) {
+			if diverges(e1, e2, reduced, s1, s2) {
 				t.Errorf("witness not minimal: %s is removable from %s",
 					p, fs.StateString(cex.Input))
 			}

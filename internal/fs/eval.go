@@ -144,6 +144,19 @@ func Eval(e Expr, s State) (State, bool) {
 	return evalIn(e, s.Clone())
 }
 
+// EvalInto is Eval into a caller-owned scratch state: it clears scratch,
+// copies s into it and evaluates e there, so repeated evaluations reuse
+// scratch's storage instead of allocating a fresh map each time. The
+// returned state is scratch itself (nil for the error state) and is only
+// valid until scratch is next used.
+func EvalInto(e Expr, s, scratch State) (State, bool) {
+	clear(scratch)
+	for p, c := range s {
+		scratch[p] = c
+	}
+	return evalIn(e, scratch)
+}
+
 // evalIn evaluates with an owned, mutable state.
 func evalIn(e Expr, s State) (State, bool) {
 	switch e := Unwrap(e).(type) {

@@ -2,6 +2,7 @@ package sym
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fs"
 	"repro/internal/sat"
@@ -18,31 +19,92 @@ type PathState struct {
 // State is a logical state Σ (figure 7): an ok formula plus a symbolic
 // filesystem over the vocabulary's path domain. States are immutable;
 // Encoder.Apply returns new states.
+//
+// The filesystem is a persistent trie over the vocabulary's sorted path
+// indices with fan-out trieFan: interior nodes hold children, leaves hold
+// the path states of up to trieFan consecutive indices. A write copies
+// only the nodes on one root-to-leaf path and shares every other subtree
+// with the state it was derived from, so a program's successive states
+// cost O(depth) each instead of a copy of the whole domain.
 type State struct {
-	Ok smt.T
-	fs map[fs.Path]PathState
+	Ok   smt.T
+	v    *Vocab
+	root *trieNode
+}
+
+// Trie shape: 32-way nodes, so three levels cover 32k paths.
+const (
+	trieBits = 5
+	trieFan  = 1 << trieBits
+	trieMask = trieFan - 1
+)
+
+// trieNode is an interior node (kids set) or a leaf (vals set). Nodes are
+// never mutated once a State refers to them.
+type trieNode struct {
+	kids []*trieNode
+	vals []PathState
+}
+
+// trieShift returns the index shift of the root level of a trie over n
+// paths: 0 when the root is a leaf.
+func trieShift(n int) uint {
+	var shift uint
+	for n > 1<<(shift+trieBits) {
+		shift += trieBits
+	}
+	return shift
+}
+
+// newState builds a state over v from the path states in index order.
+func newState(ok smt.T, v *Vocab, vals []PathState) *State {
+	return &State{Ok: ok, v: v, root: buildTrie(vals, trieShift(len(vals)))}
+}
+
+func buildTrie(vals []PathState, shift uint) *trieNode {
+	if shift == 0 {
+		return &trieNode{vals: vals}
+	}
+	span := 1 << shift
+	n := &trieNode{kids: make([]*trieNode, 0, (len(vals)+span-1)/span)}
+	for lo := 0; lo < len(vals); lo += span {
+		hi := min(lo+span, len(vals))
+		n.kids = append(n.kids, buildTrie(vals[lo:hi:hi], shift-trieBits))
+	}
+	return n
 }
 
 // Lookup returns the symbolic state of p.
 func (st *State) Lookup(p fs.Path) PathState {
-	ps, ok := st.fs[p]
-	if !ok {
-		panic(fmt.Sprintf("sym: path %s not in state", p))
+	i := st.v.PathIndex(p)
+	n := st.root
+	for shift := trieShift(len(st.v.Paths)); shift > 0; shift -= trieBits {
+		n = n.kids[i>>shift&trieMask]
 	}
-	return ps
+	return n.vals[i&trieMask]
 }
 
 func (st *State) with(p fs.Path, ps PathState) *State {
-	out := &State{Ok: st.Ok, fs: make(map[fs.Path]PathState, len(st.fs))}
-	for q, v := range st.fs {
-		out.fs[q] = v
+	i := st.v.PathIndex(p)
+	return &State{Ok: st.Ok, v: st.v, root: st.root.with(i, trieShift(len(st.v.Paths)), ps)}
+}
+
+// with returns a copy of the subtree n with index i set to ps, sharing
+// every child off the path to i.
+func (n *trieNode) with(i int, shift uint, ps PathState) *trieNode {
+	if shift == 0 {
+		vals := slices.Clone(n.vals)
+		vals[i&trieMask] = ps
+		return &trieNode{vals: vals}
 	}
-	out.fs[p] = ps
-	return out
+	kids := slices.Clone(n.kids)
+	k := i >> shift & trieMask
+	kids[k] = kids[k].with(i, shift-trieBits, ps)
+	return &trieNode{kids: kids}
 }
 
 func (st *State) withOk(ok smt.T) *State {
-	return &State{Ok: ok, fs: st.fs}
+	return &State{Ok: ok, v: st.v, root: st.root}
 }
 
 // Encoder translates FS expressions into formulas over a Solver.
@@ -66,22 +128,22 @@ func NewEncoderConfig(v *Vocab, cfg sat.Config) *Encoder {
 // path and the constant initial-content token ι_p. Contents need no
 // variables — they are only moved around by the program, never branched on.
 func (en *Encoder) FreshInputState(prefix string) *State {
-	st := &State{Ok: smt.TrueT, fs: make(map[fs.Path]PathState, len(en.V.Paths))}
-	for _, p := range en.V.Paths {
-		st.fs[p] = PathState{
+	vals := make([]PathState, len(en.V.Paths))
+	for i, p := range en.V.Paths {
+		vals[i] = PathState{
 			Kind:    en.S.EnumVar(en.V.KindSort, fmt.Sprintf("%s:kind:%s", prefix, p)),
 			Content: en.S.EnumConst(en.V.ContentSort, en.V.InitToken(p)),
 		}
 	}
-	return st
+	return newState(smt.TrueT, en.V, vals)
 }
 
 // ConstState encodes a concrete filesystem as a constant logical state.
 // Paths of the domain absent from s are encoded as does-not-exist; file
 // contents must be literals of the vocabulary or concretized init tokens.
 func (en *Encoder) ConstState(s fs.State) *State {
-	st := &State{Ok: smt.TrueT, fs: make(map[fs.Path]PathState, len(en.V.Paths))}
-	for _, p := range en.V.Paths {
+	vals := make([]PathState, len(en.V.Paths))
+	for i, p := range en.V.Paths {
 		kind := KindNone
 		tok := canonicalToken
 		if c, ok := s[p]; ok {
@@ -92,12 +154,12 @@ func (en *Encoder) ConstState(s fs.State) *State {
 				tok = en.V.LiteralToken(c.Data)
 			}
 		}
-		st.fs[p] = PathState{
+		vals[i] = PathState{
 			Kind:    en.S.EnumConst(en.V.KindSort, kind),
 			Content: en.S.EnumConst(en.V.ContentSort, tok),
 		}
 	}
-	return st
+	return newState(smt.TrueT, en.V, vals)
 }
 
 // isDir returns the formula "p is a directory in st". The root is always a
@@ -217,24 +279,58 @@ func (en *Encoder) Apply(e fs.Expr, st *State) *State {
 	}
 }
 
-// merge joins two branch states under condition c.
+// merge joins two branch states under condition c. It walks both tries
+// together: a subtree both branches share is reused as is, and EnumIte
+// terms are built only for the path states that differ, in index order.
 func (en *Encoder) merge(c smt.T, a, b *State) *State {
-	out := &State{
-		Ok: en.S.Ite(c, a.Ok, b.Ok),
-		fs: make(map[fs.Path]PathState, len(a.fs)),
+	return &State{
+		Ok:   en.S.Ite(c, a.Ok, b.Ok),
+		v:    a.v,
+		root: en.mergeNode(c, a.root, b.root),
 	}
-	for p, pa := range a.fs {
-		pb := b.fs[p]
-		if pa.Kind.Same(pb.Kind) && pa.Content.Same(pb.Content) {
-			out.fs[p] = pa
+}
+
+// mergeNode joins the subtrees a (then) and b (else) under c. It returns a
+// itself when no path state below differs.
+func (en *Encoder) mergeNode(c smt.T, a, b *trieNode) *trieNode {
+	if a == b {
+		return a
+	}
+	if a.kids == nil {
+		var vals []PathState
+		for j, pa := range a.vals {
+			pb := b.vals[j]
+			if pa.Kind.Same(pb.Kind) && pa.Content.Same(pb.Content) {
+				continue
+			}
+			if vals == nil {
+				vals = slices.Clone(a.vals)
+			}
+			vals[j] = PathState{
+				Kind:    en.S.EnumIte(c, pa.Kind, pb.Kind),
+				Content: en.S.EnumIte(c, pa.Content, pb.Content),
+			}
+		}
+		if vals == nil {
+			return a
+		}
+		return &trieNode{vals: vals}
+	}
+	var kids []*trieNode
+	for j, ka := range a.kids {
+		k := en.mergeNode(c, ka, b.kids[j])
+		if k == ka {
 			continue
 		}
-		out.fs[p] = PathState{
-			Kind:    en.S.EnumIte(c, pa.Kind, pb.Kind),
-			Content: en.S.EnumIte(c, pa.Content, pb.Content),
+		if kids == nil {
+			kids = slices.Clone(a.kids)
 		}
+		kids[j] = k
 	}
-	return out
+	if kids == nil {
+		return a
+	}
+	return &trieNode{kids: kids}
 }
 
 // PathDiffers returns the formula "path p differs between a and b":

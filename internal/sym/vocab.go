@@ -40,7 +40,8 @@ type Vocab struct {
 	pathIdx  map[fs.Path]int
 	Tokens   []string // index 0 is the canonical token
 	tokenIdx map[string]int
-	initTok  []int // per path index, the token index of ι_p
+	initTok  []int                 // per path index, the token index of ι_p
+	children map[fs.Path][]fs.Path // modeled direct children per directory, sorted
 
 	KindSort    smt.Sort
 	ContentSort smt.Sort
@@ -60,10 +61,14 @@ func NewVocabWithLiterals(dom fs.PathSet, extra []string, exprs ...fs.Expr) *Voc
 	v := &Vocab{
 		pathIdx:  make(map[fs.Path]int),
 		tokenIdx: make(map[string]int),
+		children: make(map[fs.Path][]fs.Path),
 	}
 	v.Paths = dom.Sorted()
 	for i, p := range v.Paths {
 		v.pathIdx[p] = i
+		if !p.IsRoot() {
+			v.children[p.Parent()] = append(v.children[p.Parent()], p)
+		}
 	}
 
 	v.Tokens = append(v.Tokens, "<canonical>")
@@ -137,13 +142,8 @@ func (v *Vocab) TokenString(t int) string {
 	return v.Tokens[t]
 }
 
-// Children returns the modeled direct children of p, in sorted order.
+// Children returns the modeled direct children of p, in sorted order. The
+// slice is shared by every call; callers must not modify it.
 func (v *Vocab) Children(p fs.Path) []fs.Path {
-	var out []fs.Path
-	for _, q := range v.Paths {
-		if q.IsChildOf(p) {
-			out = append(out, q)
-		}
-	}
-	return out
+	return v.children[p]
 }
